@@ -41,11 +41,12 @@ dashboard:
 chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_faults_inject.py tests/test_faults_pipeline.py tests/test_faults_chaos.py tests/test_faults_runner.py -q
 
-# Supervisor/daemon chaos suite: kill -9 and SIGSTOP'd workers,
-# poison-spec quarantine, lease timeouts, graceful SIGTERM, and the
-# 100-run exactly-once acceptance scenario (docs/service.md).
+# Campaign state-machine suite: kill -9 and SIGSTOP'd workers,
+# poison-spec quarantine, lease timeouts, graceful SIGTERM, the
+# 100-run exactly-once acceptance scenario (docs/service.md), and the
+# workers=1 campaigns that run inline through the same state machine.
 chaos-service:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_campaign_supervisor.py tests/test_service.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_campaign_supervisor.py tests/test_campaign_executor.py tests/test_service.py tests/test_faults_runner.py "tests/test_obs_wiring.py::TestCampaignTelemetry" -q
 
 # Quick perf-tracking benches; writes BENCH_obs.json (latest session,
 # atomic) and appends per-bench history to LEDGER_obs.jsonl.

@@ -28,16 +28,20 @@ makes a killed campaign cheap to restart:
   :meth:`Campaign.execute` pass - so a long bench session can be
   watched from the outside (``repro obs ledger``/``dashboard``)
   without touching the process;
-* multi-worker execution is **supervised** - with ``workers > 1`` the
-  parent runs a dynamic job queue (see :class:`CampaignExecution`):
-  each forked worker leases one run at a time, the supervisor watches
-  per-worker heartbeats and per-job timeouts, and a dead, hung, or
-  overdue worker is killed, respawned, and its leased run *requeued*
-  with an ``attempts`` counter persisted in the manifest (exponential
-  backoff via :class:`~repro.experiments.runner.RetryPolicy`).  A run
-  whose worker dies ``max_attempts`` times is quarantined to a
-  ``poisoned`` manifest state so one bad spec can never wedge the
-  campaign.  See ``docs/service.md`` for the state machine and the
+* execution is **one state machine** for every worker count (see
+  :class:`CampaignExecution`): each run is leased, executed, written
+  to an atomic ``<name>.outcome.json`` checkpoint, and committed from
+  that checkpoint.  With ``workers > 1`` the leases go to forked
+  workers; the supervisor watches per-worker heartbeats and per-job
+  timeouts, and a dead, hung, or overdue worker is killed, respawned,
+  and its leased run *requeued* with an ``attempts`` counter persisted
+  in the manifest (exponential backoff via
+  :class:`~repro.experiments.runner.RetryPolicy`).  A run interrupted
+  ``max_attempts`` times is quarantined to a ``poisoned`` manifest
+  state so one bad spec can never wedge the campaign.  With
+  ``workers == 1`` the leases run inline in the calling process: no
+  fork, no watchdog, no heartbeat or lease timeouts, and no exception
+  isolation.  See ``docs/service.md`` for the state machine and the
   lease/requeue invariants.
 
 Manifest run states: ``done`` / ``failed`` (the run itself failed;
@@ -193,16 +197,18 @@ class Campaign:
             :class:`repro.obs.ledger.RunLedger`); when given, every
             executed run appends a ``campaign-run`` record and each
             :meth:`execute` pass appends a ``campaign`` summary.
-        workers: processes to execute runs in.  1 (default) keeps the
-            in-process serial path; more runs the supervised dynamic
-            job queue (:class:`CampaignExecution`): forked workers
-            lease one run at a time, write per-run
-            ``<name>.outcome.json`` checkpoints, and are killed,
-            respawned, and their leased run requeued when they die,
-            stop heartbeating, or blow the per-job timeout.  Workers
-            never touch the manifest, so crash semantics are
-            unchanged: a run without both its report and outcome file
-            is simply re-attempted.
+        workers: processes to execute runs in.  Every count goes
+            through the same lease/commit state machine
+            (:class:`CampaignExecution`): each run is leased, writes a
+            ``<name>.outcome.json`` checkpoint, and is committed from
+            it; a run without both its report and outcome file is
+            simply re-attempted.  1 (default) executes each lease
+            inline in the calling process - no fork, no watchdog, no
+            heartbeat or lease timeouts, and an exception that is not
+            an :class:`~repro.errors.AcquisitionError` propagates out
+            of :meth:`execute`.  More forks that many workers, which
+            are killed, respawned, and their leased run requeued when
+            they die, stop heartbeating, or blow the per-job timeout.
         status_port: when given, :meth:`execute`/:meth:`start` serve
             the line-JSON status protocol (:mod:`repro.obs.statusd`)
             on this port for the duration of the pass; 0 picks an
@@ -304,8 +310,8 @@ class Campaign:
         """A worker's per-run checkpoint file."""
         return self.directory / f"{name}.outcome.json"
 
-    def load_manifest(self) -> Dict[str, dict]:
-        """Per-run state map; empty when the campaign is fresh."""
+    def _read_manifest(self) -> Dict[str, object]:
+        """The whole manifest document; empty when the campaign is fresh."""
         if not self.manifest_path.exists():
             return {}
         try:
@@ -318,7 +324,11 @@ class Campaign:
             raise CampaignError(
                 f"not an EMPROF campaign manifest: {self.manifest_path}"
             )
-        return payload.get("runs", {})
+        return payload
+
+    def load_manifest(self) -> Dict[str, dict]:
+        """Per-run state map; empty when the campaign is fresh."""
+        return self._read_manifest().get("runs", {})
 
     def load_progress(self) -> Dict[str, object]:
         """The manifest's heartbeat record; empty for fresh campaigns.
@@ -329,15 +339,7 @@ class Campaign:
         live campaign from a wedged one without signalling the
         process.
         """
-        if not self.manifest_path.exists():
-            return {}
-        try:
-            payload = json.loads(self.manifest_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise CampaignError(
-                f"unreadable campaign manifest {self.manifest_path}: {exc}"
-            ) from exc
-        progress = payload.get("progress", {})
+        progress = self._read_manifest().get("progress", {})
         return progress if isinstance(progress, dict) else {}
 
     def _save_manifest(
@@ -390,42 +392,20 @@ class Campaign:
         are skipped; everything else (fresh, previously failed, or
         interrupted mid-run) is attempted.  A failing run never stops
         the campaign - its error is recorded in the manifest and the
-        outcome list.
-
-        With ``workers > 1`` this is ``self.start(specs).join()``:
-        the specs flow through the supervised job queue
-        (:class:`CampaignExecution`) across forked, watchdogged
-        worker processes.
+        outcome list.  This is ``self.start(specs).join()``.
         """
-        self._check_names(specs)
-        if self.workers > 1:
-            return self.start(specs).join()
-        runs = self.load_manifest()
-        result = CampaignResult()
-        pass_begin = time.perf_counter()
-        # One reusable ledger handle for the whole pass: a 100-run
-        # campaign would otherwise pay an open+fsync per record.  The
-        # manifest (atomic replace per run) stays the crash-recovery
-        # source of truth, so the fsync is deferred to pass end.
-        ledger_ctx = (
-            self.ledger.appender(fsync_each=False)
-            if self.ledger is not None
-            else contextlib.nullcontext(None)
-        )
-        with self._observation(len(specs)):
-            with ledger_ctx as ledger_sink:
-                self._execute_pass(specs, runs, result, ledger_sink, pass_begin)
-        return result
+        return self.start(specs).join()
 
     def start(self, specs: List[RunSpec]) -> "CampaignExecution":
-        """Launch the pass across ``self.workers`` forked processes.
+        """Plan the pass and, with ``workers > 1``, fork the workers.
 
         Returns a :class:`CampaignExecution` handle immediately; call
-        :meth:`CampaignExecution.join` for the merged result.  While
-        the pass runs, each worker streams events (heartbeats, run
-        lifecycle, per-chunk telemetry) into the campaign's shared
-        NDJSON event file and - when ``status_port`` is set - into the
-        parent's status server, so the pass can be watched live.
+        :meth:`CampaignExecution.join` for the merged result (with
+        ``workers == 1`` the runs execute inside ``join``).  While
+        the pass runs, events (heartbeats, run lifecycle, per-chunk
+        telemetry) stream into the campaign's shared NDJSON event
+        file and - when ``status_port`` is set - into the status
+        server, so the pass can be watched live.
         """
         self._check_names(specs)
         return CampaignExecution(self, list(specs)).start()
@@ -497,248 +477,10 @@ class Campaign:
             ),
         }
 
-    def _execute_pass(
-        self,
-        specs: List[RunSpec],
-        runs: Dict[str, dict],
-        result: CampaignResult,
-        ledger_sink: Optional[obs_ledger.LedgerAppender],
-        pass_begin: float,
-    ) -> None:
-        for spec in specs:
-            state = runs.get(spec.name, {})
-            prior_status = state.get("status")
-            prior_attempts = int(state.get("attempts", 0) or 0)
-            if prior_status == "done" and self.report_path(spec.name).exists():
-                _RUNS_SKIPPED.inc()
-                result.outcomes.append(
-                    RunOutcome(name=spec.name, status="skipped")
-                )
-                continue
-            if prior_status == "poisoned":
-                # Quarantine is sticky across passes; delete the
-                # manifest entry to force a re-run.
-                result.outcomes.append(
-                    RunOutcome(
-                        name=spec.name,
-                        status="poisoned",
-                        error=state.get("error"),
-                        attempts=prior_attempts,
-                        interrupted=True,
-                    )
-                )
-                continue
-            # A run left "running" by a killed pass is an interrupted
-            # run, not a fresh one: its attempts counter carries over.
-            was_interrupted = prior_status in ("running", "interrupted")
-            if was_interrupted and prior_attempts >= self.max_attempts:
-                outcome = self._quarantine_entry(
-                    runs,
-                    spec.name,
-                    prior_attempts,
-                    reason=(
-                        f"quarantined after {prior_attempts} interrupted "
-                        "attempts"
-                    ),
-                )
-                result.outcomes.append(outcome)
-                self._save_manifest(
-                    runs,
-                    progress=self._progress(result, len(specs), spec.name),
-                )
-                self._ledger_incident(
-                    "campaign-quarantine",
-                    spec.name,
-                    prior_attempts,
-                    str(outcome.error),
-                    sink=ledger_sink,
-                )
-                continue
-            attempts = prior_attempts + 1
-            # Pre-mark the lease: a kill -9 between here and the final
-            # manifest write leaves "running" + attempts behind, which
-            # the next pass surfaces as an interrupted run.
-            runs[spec.name] = {
-                "status": "running",
-                "attempts": attempts,
-                "started_unix_s": time.time(),
-            }
-            self._save_manifest(
-                runs, progress=self._progress(result, len(specs), spec.name)
-            )
-            outcome = self._execute_one(
-                spec, attempts=attempts, interrupted=was_interrupted
-            )
-            runs[spec.name] = {
-                "status": outcome.status,
-                "attempts": attempts,
-                "wall_time_s": outcome.wall_time_s,
-                "finished_unix_s": time.time(),
-            }
-            if outcome.error is not None:
-                runs[spec.name]["error"] = outcome.error
-            result.outcomes.append(outcome)
-            self._save_manifest(
-                runs, progress=self._progress(result, len(specs), spec.name)
-            )
-            _event_bus.emit(
-                "checkpoint_written",
-                target="manifest",
-                run=spec.name,
-                status=outcome.status,
-            )
-            _event_bus.emit("heartbeat", run=spec.name)
-            self._ledger_run(spec, outcome, ledger_sink)
-        self._ledger_summary(
-            result, time.perf_counter() - pass_begin, ledger_sink
-        )
-
-    def _quarantine_entry(
-        self, runs: Dict[str, dict], name: str, attempts: int, reason: str
-    ) -> RunOutcome:
-        """Poison one manifest entry; returns the matching outcome."""
-        runs[name] = {
-            "status": "poisoned",
-            "attempts": attempts,
-            "error": reason,
-            "finished_unix_s": time.time(),
-        }
-        _RUNS_POISONED.inc()
-        _event_bus.emit(
-            "job_quarantined",
-            run=name,
-            attempts=attempts,
-            reason=reason,
-            campaign=self.directory.name,
-        )
-        return RunOutcome(
-            name=name,
-            status="poisoned",
-            error=reason,
-            attempts=attempts,
-            interrupted=True,
-        )
-
-    def _progress(
-        self, result: CampaignResult, total_planned: int, last_run: str
-    ) -> Dict[str, object]:
-        """The heartbeat written alongside every manifest update."""
-        return {
-            "updated_unix_s": time.time(),
-            "counts": result.counts(),
-            "total_planned": total_planned,
-            "last_run": last_run,
-        }
-
-    def _ledger_run(
-        self,
-        spec: RunSpec,
-        outcome: RunOutcome,
-        sink: Optional[obs_ledger.LedgerAppender] = None,
-    ) -> None:
-        """Append one ``campaign-run`` record, when a ledger is wired."""
-        if self.ledger is None:
-            return
-        writer = sink if sink is not None else self.ledger
-        report = outcome.report
-        quality = (
-            dataclasses.asdict(report.quality)
-            if report is not None and report.quality is not None
-            else None
-        )
-        extra: Dict[str, object] = {"status": outcome.status}
-        if outcome.error is not None:
-            extra["error"] = outcome.error
-        if report is not None:
-            extra["miss_count"] = report.miss_count
-            extra["low_confidence_count"] = report.low_confidence_count
-            extra["stall_fraction"] = report.stall_fraction
-        writer.append(
-            obs_ledger.record(
-                kind="campaign-run",
-                label=f"{self.directory.name}/{spec.name}",
-                wall_time_s=outcome.wall_time_s,
-                config=spec.config,
-                quality=quality,
-                extra=extra,
-            )
-        )
-
-    def _ledger_incident(
-        self,
-        kind: str,
-        name: str,
-        attempts: int,
-        reason: str,
-        wall_time_s: float = 0.0,
-        worker: Optional[str] = None,
-        sink: Optional[obs_ledger.LedgerAppender] = None,
-    ) -> None:
-        """Append one ``campaign-requeue``/``campaign-quarantine`` record.
-
-        Written at the moment the supervisor acts (not batched to pass
-        end) so a kill -9 of the *parent* still leaves the incident on
-        record.
-        """
-        if self.ledger is None:
-            return
-        writer = sink if sink is not None else self.ledger
-        extra: Dict[str, object] = {"attempts": attempts, "reason": reason}
-        if worker is not None:
-            extra["worker"] = worker
-        writer.append(
-            obs_ledger.record(
-                kind=kind,
-                label=f"{self.directory.name}/{name}",
-                wall_time_s=wall_time_s,
-                extra=extra,
-            )
-        )
-
-    def _ledger_summary(
-        self,
-        result: CampaignResult,
-        wall_time_s: float,
-        sink: Optional[obs_ledger.LedgerAppender] = None,
-    ) -> None:
-        """Append one ``campaign`` summary record per execute() pass."""
-        if self.ledger is None:
-            return
-        writer = sink if sink is not None else self.ledger
-        extra: Dict[str, object] = {
-            "counts": result.counts(),
-            "completed": result.completed,
-        }
-        if obs_enabled():
-            # Bridge the live-telemetry rollup into the post-hoc
-            # record: the dashboard's "final" numbers can be checked
-            # against what the bus saw while the pass was in flight.
-            stats = _event_bus.stats()
-            extra["events"] = {
-                key: stats[key]
-                for key in (
-                    "total",
-                    "samples_total",
-                    "stalls_total",
-                    "quality_flags_total",
-                    "dropped_events",
-                )
-            }
-        writer.append(
-            obs_ledger.record(
-                kind="campaign",
-                label=self.directory.name,
-                wall_time_s=wall_time_s,
-                extra=extra,
-            )
-        )
-
-    def _execute_one(
-        self, spec: RunSpec, attempts: int = 1, interrupted: bool = False
-    ) -> RunOutcome:
+    def _execute_one(self, spec: RunSpec, attempt: int) -> RunOutcome:
         """Acquire, profile, and persist one run, absorbing failures."""
         begin = time.perf_counter()
-        with _trace.span("campaign_run", run=spec.name, attempt=attempts):
+        with _trace.span("campaign_run", run=spec.name, attempt=attempt):
             try:
                 capture = self._acquire(spec)
                 recorder = None
@@ -750,17 +492,14 @@ class Campaign:
                     capture, config=spec.config
                 ).profile(flight=recorder)
             except AcquisitionError as exc:
-                _RUNS_FAILED.inc()
                 return RunOutcome(
                     name=spec.name,
                     status="failed",
                     error=f"{type(exc).__name__}: {exc}",
                     wall_time_s=time.perf_counter() - begin,
-                    attempts=attempts,
-                    interrupted=interrupted,
                 )
-            # Persist the report before the manifest marks the run
-            # done: a crash between the two writes re-runs the run,
+            # Persist the report before the outcome checkpoint commits
+            # the run: a crash between the two writes re-runs the run,
             # never trusts a missing report.
             repro_io.save_report(self.report_path(spec.name), report)
             if recorder is not None:
@@ -768,14 +507,42 @@ class Campaign:
                     self.flight_path(spec.name), recorder, run=spec.name
                 )
                 self._prune_flights()
-        _RUNS_COMPLETED.inc()
         return RunOutcome(
             name=spec.name,
             status="done",
             report=report,
             wall_time_s=time.perf_counter() - begin,
-            attempts=attempts,
-            interrupted=interrupted,
+        )
+
+    def _run_to_checkpoint(
+        self, spec: RunSpec, attempt: int, worker: str
+    ) -> None:
+        """Execute one leased run and write its outcome checkpoint.
+
+        The same for every worker count: a forked worker calls this
+        from :func:`_worker_main`, an inline (``workers == 1``) pass
+        from the supervisor loop itself.
+        """
+        outcome = self._execute_one(spec, attempt)
+        # The commit point: after this atomic write the run is
+        # finished no matter what happens to this process.
+        obs_ledger.atomic_write_json(
+            self.outcome_path(spec.name),
+            {
+                "name": spec.name,
+                "status": outcome.status,
+                "error": outcome.error,
+                "wall_time_s": outcome.wall_time_s,
+                "attempts": attempt,
+                "finished_unix_s": time.time(),
+                "worker": worker,
+            },
+        )
+        _event_bus.emit(
+            "checkpoint_written",
+            target="outcome",
+            run=spec.name,
+            status=outcome.status,
         )
 
     def _acquire(self, spec: RunSpec):
@@ -785,9 +552,44 @@ class Campaign:
         )
 
 
+
+
+
 # ---------------------------------------------------------------------------
-# supervised multi-process execution
+# the executor: one lease/commit state machine for every worker count
 # ---------------------------------------------------------------------------
+
+#: Lease label of a ``workers == 1`` pass, whose runs execute inline
+#: in the supervisor's own process (``main`` in traces and events).
+_INLINE = "main"
+
+#: Which timestamp a manifest entry carries, by status.
+_STAMP_KEYS = {
+    "running": "started_unix_s",
+    "interrupted": "interrupted_unix_s",
+}
+
+
+def _entry(
+    status: str,
+    attempts: int,
+    worker: Optional[str] = None,
+    error: Optional[str] = None,
+    wall_time_s: Optional[float] = None,
+) -> Dict[str, object]:
+    """One manifest run entry, stamped with the wall clock."""
+    entry: Dict[str, object] = {
+        "status": status,
+        "attempts": attempts,
+        _STAMP_KEYS.get(status, "finished_unix_s"): time.time(),
+    }
+    if worker is not None:
+        entry["worker"] = worker
+    if error is not None:
+        entry["error"] = error
+    if wall_time_s is not None:
+        entry["wall_time_s"] = wall_time_s
+    return entry
 
 
 @dataclass
@@ -819,28 +621,38 @@ class _PendingJob:
 
 
 class CampaignExecution:
-    """A launched supervised pass; :meth:`join` runs the supervisor.
+    """A launched pass; :meth:`join` runs the supervisor loop.
 
     Created by :meth:`Campaign.start`.  The parent owns the open
-    ``campaign`` span, the status server, the shared event sink, and -
-    new with the dynamic job queue - all scheduling state: a pending
-    queue of jobs, one single-slot job queue per forked worker, and a
-    shared control queue the workers beat on.  Each worker leases one
-    run at a time; the supervisor dispatches, watches liveness, and on
-    a dead worker (``is_alive()`` false), a hung worker (no beat
-    within ``Campaign.effective_heartbeat_timeout_s``), or an overdue
-    job (``RunSpec.timeout_s`` / ``Campaign.job_timeout_s``) kills the
+    ``campaign`` span, the status server, the shared event sink, the
+    pass-long ledger appender, and all scheduling state: a pending
+    queue of jobs and one lease per in-flight run.  Every run goes
+    through the same states for every worker count: planned (skipped,
+    sticky ``poisoned``, quarantined, or pending), leased (pre-marked
+    ``running`` in the manifest), executed to an atomic
+    ``<name>.outcome.json`` checkpoint, and committed from that
+    checkpoint by :meth:`_finalize_from_checkpoint`.
+
+    With ``workers > 1`` each lease goes to a forked worker over a
+    single-slot job queue, and the workers beat on a shared control
+    queue.  The supervisor dispatches, watches liveness, and on a dead
+    worker (``is_alive()`` false), a hung worker (no beat within
+    ``Campaign.effective_heartbeat_timeout_s``), or an overdue job
+    (``RunSpec.timeout_s`` / ``Campaign.job_timeout_s``) kills the
     worker, requeues the leased run with backoff
     (``Campaign.retry.delay``), and respawns a replacement.  A run
     interrupted ``Campaign.max_attempts`` times is quarantined as
-    ``poisoned``.
+    ``poisoned``.  With ``workers == 1`` the supervisor executes each
+    lease itself, in-process: no fork, control queue, watchdog,
+    heartbeat or lease timeouts, and no exception isolation - an
+    exception that is not an :class:`~repro.errors.AcquisitionError`
+    propagates out of :meth:`join` with the lease left ``running``.
 
     The exactly-once discipline: a run's *only* commit point is its
-    ``<name>.outcome.json`` checkpoint (written atomically by the
-    worker after the report).  Before requeueing a revoked lease the
-    supervisor re-reads that checkpoint, so a worker killed after
-    committing but before reporting back still counts as finished and
-    the run is never executed twice.
+    outcome checkpoint, written after the report.  Before requeueing a
+    revoked lease the supervisor re-reads that checkpoint, so a worker
+    killed after committing but before reporting back still counts as
+    finished and the run is never executed twice.
 
     Attributes:
         processes: worker label -> :class:`multiprocessing.Process`,
@@ -860,6 +672,7 @@ class CampaignExecution:
         self.assignments: Dict[str, List[RunSpec]] = {}
         self.result: Optional[CampaignResult] = None
         self._mp = multiprocessing.get_context("fork")
+        self._inline = campaign.workers == 1
         self._pending: List[_PendingJob] = []
         self._leases: Dict[str, _Lease] = {}
         self._job_queues: Dict[str, multiprocessing.queues.Queue] = {}
@@ -873,14 +686,16 @@ class CampaignExecution:
         self._observation = None
         self._span = None
         self._server = None
+        self._ledger: Optional[obs_ledger.LedgerAppender] = None
         self._context: Optional[tracectx.TraceContext] = None
         self._status_address: Optional[Tuple[str, int]] = None
 
     # -- launch --------------------------------------------------------------
 
     def start(self) -> "CampaignExecution":
-        """Plan the queue and fork the workers; returns immediately."""
+        """Plan the queue and fork any workers; returns immediately."""
         campaign = self.campaign
+        self._runs = campaign.load_manifest()
         self._pass_begin = time.perf_counter()
         self._observation = campaign._observation(len(self.specs))
         self._server = self._observation.__enter__()
@@ -890,8 +705,23 @@ class CampaignExecution:
             workers=campaign.workers,
         )
         self._span.__enter__()
+        try:
+            if campaign.ledger is not None:
+                # One handle for the whole pass; the manifest (atomic
+                # replace per commit) is the crash-recovery source of
+                # truth, so the fsync is deferred to pass end.
+                self._ledger = campaign.ledger.appender(fsync_each=False)
+            self._plan()
+            if not self._inline:
+                self._launch_workers()
+        except BaseException:
+            self._close()
+            raise
+        return self
 
-        self._runs = campaign.load_manifest()
+    def _plan(self) -> None:
+        """Sort every spec into skipped / poisoned / quarantined / pending."""
+        campaign = self.campaign
         now = time.monotonic()
         for index, spec in enumerate(self.specs):
             state = self._runs.get(spec.name, {})
@@ -902,39 +732,36 @@ class CampaignExecution:
                 and campaign.report_path(spec.name).exists()
             ):
                 _RUNS_SKIPPED.inc()
-                self._outcomes[spec.name] = RunOutcome(
-                    name=spec.name, status="skipped"
+                self._settle(
+                    spec, RunOutcome(name=spec.name, status="skipped")
                 )
                 continue
             if status == "poisoned":
-                self._outcomes[spec.name] = RunOutcome(
-                    name=spec.name,
-                    status="poisoned",
-                    error=state.get("error"),
-                    attempts=attempts,
-                    interrupted=True,
+                # Quarantine is sticky across passes; delete the
+                # manifest entry to force a re-run.
+                self._settle(
+                    spec,
+                    RunOutcome(
+                        name=spec.name,
+                        status="poisoned",
+                        error=state.get("error"),
+                        attempts=attempts,
+                        interrupted=True,
+                    ),
                 )
                 continue
             # A stale outcome file from an earlier pass must not
             # masquerade as this pass's result.
             with contextlib.suppress(FileNotFoundError):
                 campaign.outcome_path(spec.name).unlink()
+            # A run left "running" by a killed pass is an interrupted
+            # run, not a fresh one: its attempts counter carries over.
             interrupted = status in ("running", "interrupted")
             if interrupted and attempts >= campaign.max_attempts:
-                outcome = campaign._quarantine_entry(
-                    self._runs,
-                    spec.name,
+                self._quarantine(
+                    spec,
                     attempts,
-                    reason=(
-                        f"quarantined after {attempts} interrupted attempts"
-                    ),
-                )
-                self._outcomes[spec.name] = outcome
-                campaign._ledger_incident(
-                    "campaign-quarantine",
-                    spec.name,
-                    attempts,
-                    str(outcome.error),
+                    f"quarantined after {attempts} interrupted attempts",
                     worker=state.get("worker"),
                 )
                 continue
@@ -943,15 +770,15 @@ class CampaignExecution:
             )
         self._checkpoint(last_run="")
 
+    def _launch_workers(self) -> None:
         self._context = tracectx.current().child(_trace.current_span_token())
         self._status_address = (
             self._server.address if self._server is not None else None
         )
         self._control = self._mp.Queue()
-        for _ in range(min(campaign.workers, len(self._pending))):
+        for _ in range(min(self.campaign.workers, len(self._pending))):
             self._spawn_worker()
         self._dispatch_ready()
-        return self
 
     def _spawn_worker(self) -> str:
         """Fork one worker with an empty job queue."""
@@ -1010,6 +837,7 @@ class CampaignExecution:
             if job is None:
                 return
             self._lease(label, job)
+            self._job_queues[label].put(("run", job.index, job.attempt))
 
     def _lease(self, label: str, job: _PendingJob) -> None:
         campaign = self.campaign
@@ -1030,17 +858,25 @@ class CampaignExecution:
         )
         # Pre-mark the lease so a parent kill -9 leaves "running" +
         # attempts behind for the next pass to surface as interrupted.
-        self._runs[spec.name] = {
-            "status": "running",
-            "attempts": job.attempt,
-            "worker": label,
-            "started_unix_s": time.time(),
-        }
+        self._runs[spec.name] = _entry("running", job.attempt, worker=label)
         self._checkpoint(spec.name)
-        self.assignments[label].append(spec)
-        self._job_queues[label].put(
-            ("run", job.index, job.attempt, job.interrupted)
+        self.assignments.setdefault(label, []).append(spec)
+
+    def _run_inline(self) -> None:
+        """``workers == 1``: lease the next ready run and execute it here."""
+        job = self._take_ready_job(time.monotonic())
+        if job is None:
+            time.sleep(self._TICK_S)  # a requeued run is backing off
+            return
+        spec = self.specs[job.index]
+        self._lease(_INLINE, job)
+        self.campaign._run_to_checkpoint(spec, job.attempt, _INLINE)
+        self._revoke(
+            _INLINE,
+            f"run {spec.name!r} left no readable outcome checkpoint",
+            kill=False,
         )
+        _event_bus.emit("heartbeat", run=spec.name)
 
     def _respawn_if_needed(self) -> None:
         want = min(
@@ -1053,11 +889,16 @@ class CampaignExecution:
             self._spawn_worker()
 
     def _checkpoint(self, last_run: str) -> None:
-        campaign = self.campaign
+        """Atomically rewrite the manifest with a ``progress`` heartbeat."""
         result = CampaignResult(outcomes=list(self._outcomes.values()))
-        campaign._save_manifest(
+        self.campaign._save_manifest(
             self._runs,
-            progress=campaign._progress(result, len(self.specs), last_run),
+            progress={
+                "updated_unix_s": time.time(),
+                "counts": result.counts(),
+                "total_planned": len(self.specs),
+                "last_run": last_run,
+            },
         )
 
     # -- supervision ---------------------------------------------------------
@@ -1077,7 +918,9 @@ class CampaignExecution:
         ``cancel`` kills leased workers and marks their runs
         ``interrupted`` (attempts persisted) for the next pass.  In
         both cases undispatched pending runs keep their prior manifest
-        state.  Takes effect inside :meth:`join`'s supervision loop.
+        state.  Takes effect inside :meth:`join`'s supervision loop;
+        with ``workers == 1`` that is between runs, so the run in
+        flight always finishes.
         """
         if mode not in ("drain", "cancel"):
             raise ValueError("stop mode must be 'drain' or 'cancel'")
@@ -1109,48 +952,55 @@ class CampaignExecution:
         expiry every worker is killed, leased runs are recorded as
         failed (and left ``interrupted`` in the manifest for the next
         pass), and undispatched runs are recorded as failed without a
-        manifest change.
+        manifest change.  With ``workers == 1`` the deadline is
+        checked between runs.
         """
-        campaign = self.campaign
         deadline = (
             None if timeout_s is None else time.monotonic() + timeout_s
         )
         try:
-            self._supervise(deadline)
+            try:
+                self._supervise(deadline)
+            finally:
+                self._shutdown_workers()
+            result = CampaignResult(
+                outcomes=[
+                    self._outcomes[spec.name]
+                    for spec in self.specs
+                    if spec.name in self._outcomes
+                ]
+            )
+            self._checkpoint(
+                result.outcomes[-1].name if result.outcomes else ""
+            )
+            _event_bus.emit(
+                "checkpoint_written",
+                target="manifest",
+                campaign=self.campaign.directory.name,
+            )
+            self._ledger_summary(result)
         finally:
-            self._shutdown_workers()
+            self._close()
+        self.result = result
+        return result
 
-        result = CampaignResult()
-        last_run = ""
-        for spec in self.specs:
-            outcome = self._outcomes.get(spec.name)
-            if outcome is not None:
-                result.outcomes.append(outcome)
-                last_run = spec.name
-        campaign._save_manifest(
-            self._runs,
-            progress=campaign._progress(result, len(self.specs), last_run),
-        )
-        _event_bus.emit(
-            "checkpoint_written",
-            target="manifest",
-            campaign=campaign.directory.name,
-        )
-        self._ledger(result)
+    def _close(self) -> None:
+        """Close the ledger appender, the span, and the observation scope."""
+        if self._ledger is not None:
+            self._ledger.close()
+            self._ledger = None
         if self._span is not None:
             self._span.__exit__(None, None, None)
             self._span = None
-        if obs_enabled():
-            # After the span closes, so the campaign span itself is in
-            # the payload the stitcher reads.
-            _trace_write_safe(
-                _trace, campaign.directory / "main.trace.json"
-            )
+            if obs_enabled():
+                # After the span closes, so the campaign span itself is
+                # in the payload the stitcher reads.
+                _trace_write_safe(
+                    _trace, self.campaign.directory / "main.trace.json"
+                )
         if self._observation is not None:
             self._observation.__exit__(None, None, None)
             self._observation = None
-        self.result = result
-        return result
 
     def _supervise(self, deadline: Optional[float]) -> None:
         while self._pending or self._leases:
@@ -1164,6 +1014,9 @@ class CampaignExecution:
                 # Undispatched runs keep their prior manifest state and
                 # get no outcome; the next pass re-attempts them.
                 self._pending.clear()
+            if self._inline:
+                self._run_inline()
+                continue
             self._respawn_if_needed()
             self._dispatch_ready()
             self._pump_control()
@@ -1190,16 +1043,14 @@ class CampaignExecution:
         lease = self._leases.get(label)
         if lease is None or lease.name != name:
             return  # stale message from a revoked lease
-        del self._leases[label]
-        if not self._finalize_from_checkpoint(lease, label):
-            # The worker claimed "done" but its checkpoint is missing
-            # or torn - treat exactly like a death while leased.
-            self._requeue_or_quarantine(
-                lease,
-                label,
-                f"worker {label} reported run {lease.name!r} finished "
-                "but left no readable outcome checkpoint",
-            )
+        # A "done" without a readable checkpoint is treated exactly
+        # like a death while leased.
+        self._revoke(
+            label,
+            f"worker {label} reported run {name!r} finished but left "
+            "no readable outcome checkpoint",
+            kill=False,
+        )
 
     def _check_liveness(self) -> None:
         campaign = self.campaign
@@ -1231,26 +1082,43 @@ class CampaignExecution:
                     f"timeout on worker {label}",
                 )
 
-    def _revoke(self, label: str, reason: str) -> None:
-        """Kill a worker and requeue (or quarantine) its leased run."""
-        campaign = self.campaign
+    def _reclaim(
+        self, label: str, reason: str, kill: bool = True
+    ) -> Optional[_Lease]:
+        """End a lease: commit its run from the checkpoint, or interrupt it.
+
+        With ``kill`` the lease's worker is killed and reaped first.
+        The run may have committed its checkpoint before its worker
+        died; a committed run is finished, never re-executed, and
+        None is returned.  Otherwise the run is marked ``interrupted``
+        in the manifest (attempts kept) and its lease is returned for
+        the caller to requeue, cancel, or fail.
+        """
         lease = self._leases.pop(label)
-        process = self.processes[label]
-        if process.is_alive():
-            process.kill()
-        process.join(2.0)
-        _event_bus.emit(
-            "worker_killed",
-            worker=label,
-            run=lease.name,
-            reason=reason,
-            campaign=campaign.directory.name,
-        )
-        # The worker may have committed the run's checkpoint before it
-        # died; a committed run is finished, never re-executed.
+        if kill:
+            process = self.processes[label]
+            if process.is_alive():
+                process.kill()
+            process.join(2.0)
+            _event_bus.emit(
+                "worker_killed",
+                worker=label,
+                run=lease.name,
+                reason=reason,
+                campaign=self.campaign.directory.name,
+            )
         if self._finalize_from_checkpoint(lease, label):
-            return
-        self._requeue_or_quarantine(lease, label, reason)
+            return None
+        self._runs[lease.name] = _entry(
+            "interrupted", lease.attempt, worker=label, error=reason
+        )
+        return lease
+
+    def _revoke(self, label: str, reason: str, kill: bool = True) -> None:
+        """End a lease; requeue (or quarantine) its run if unfinished."""
+        lease = self._reclaim(label, reason, kill)
+        if lease is not None:
+            self._requeue_or_quarantine(lease, label, reason)
 
     def _requeue_or_quarantine(
         self, lease: _Lease, label: str, reason: str
@@ -1259,24 +1127,12 @@ class CampaignExecution:
         spec = self.specs[lease.index]
         wall = time.monotonic() - lease.leased_monotonic
         if lease.attempt >= campaign.max_attempts:
-            outcome = campaign._quarantine_entry(
-                self._runs,
-                spec.name,
+            self._quarantine(
+                spec,
                 lease.attempt,
-                reason=(
-                    f"quarantined after {lease.attempt} attempts; last: "
-                    f"{reason}"
-                ),
-            )
-            self._outcomes[spec.name] = outcome
-            self._checkpoint(spec.name)
-            campaign._ledger_incident(
-                "campaign-quarantine",
-                spec.name,
-                lease.attempt,
-                reason,
-                wall_time_s=wall,
+                f"quarantined after {lease.attempt} attempts; last: {reason}",
                 worker=label,
+                wall_time_s=wall,
             )
             return
         delay = campaign.retry.delay(lease.attempt)
@@ -1288,13 +1144,6 @@ class CampaignExecution:
                 time.monotonic() + delay,
             )
         )
-        self._runs[spec.name] = {
-            "status": "interrupted",
-            "attempts": lease.attempt,
-            "error": reason,
-            "worker": label,
-            "interrupted_unix_s": time.time(),
-        }
         self._checkpoint(spec.name)
         _RUNS_REQUEUED.inc()
         _event_bus.emit(
@@ -1305,20 +1154,50 @@ class CampaignExecution:
             reason=reason,
             campaign=campaign.directory.name,
         )
-        campaign._ledger_incident(
-            "campaign-requeue",
-            spec.name,
-            lease.attempt,
-            reason,
-            wall_time_s=wall,
-            worker=label,
+        self._ledger_incident(
+            "campaign-requeue", spec.name, lease.attempt, reason, wall, label
+        )
+
+    def _quarantine(
+        self,
+        spec: RunSpec,
+        attempts: int,
+        reason: str,
+        worker: Optional[str] = None,
+        wall_time_s: float = 0.0,
+    ) -> None:
+        """Poison a run: manifest entry, outcome, event, and incident."""
+        self._runs[spec.name] = _entry("poisoned", attempts, error=reason)
+        _RUNS_POISONED.inc()
+        _event_bus.emit(
+            "job_quarantined",
+            run=spec.name,
+            attempts=attempts,
+            reason=reason,
+            campaign=self.campaign.directory.name,
+        )
+        self._settle(
+            spec,
+            RunOutcome(
+                name=spec.name,
+                status="poisoned",
+                error=reason,
+                attempts=attempts,
+                interrupted=True,
+            ),
+        )
+        self._checkpoint(spec.name)
+        self._ledger_incident(
+            "campaign-quarantine", spec.name, attempts, reason,
+            wall_time_s, worker,
         )
 
     def _finalize_from_checkpoint(self, lease: _Lease, label: str) -> bool:
         """Commit a lease from its run's outcome file, if one exists.
 
-        Returns False when the checkpoint is absent or unreadable (the
-        run did not finish); the caller decides requeue vs quarantine.
+        The only place a run becomes ``done`` or ``failed``.  Returns
+        False when the checkpoint is absent or unreadable (the run did
+        not finish); the caller decides requeue vs quarantine.
         """
         campaign = self.campaign
         spec = self.specs[lease.index]
@@ -1336,10 +1215,8 @@ class CampaignExecution:
         report = None
         if status == "done":
             _RUNS_COMPLETED.inc()
-            try:
+            with contextlib.suppress(OSError, ValueError):
                 report = campaign.load_report(spec.name)
-            except (OSError, ValueError):
-                report = None
         else:
             _RUNS_FAILED.inc()
         outcome = RunOutcome(
@@ -1351,98 +1228,82 @@ class CampaignExecution:
             attempts=lease.attempt,
             interrupted=lease.interrupted,
         )
-        self._outcomes[spec.name] = outcome
-        entry = {
-            "status": status,
-            "attempts": lease.attempt,
-            "wall_time_s": outcome.wall_time_s,
-            "finished_unix_s": time.time(),
-            "worker": label,
-        }
-        if outcome.error is not None:
-            entry["error"] = outcome.error
-        self._runs[spec.name] = entry
+        self._runs[spec.name] = _entry(
+            status,
+            lease.attempt,
+            worker=label,
+            error=outcome.error,
+            wall_time_s=outcome.wall_time_s,
+        )
+        self._settle(spec, outcome)
         self._checkpoint(spec.name)
+        _event_bus.emit(
+            "checkpoint_written",
+            target="manifest",
+            run=spec.name,
+            status=status,
+        )
         return True
 
     # -- shutdown paths ------------------------------------------------------
 
     def _cancel_leases(self) -> None:
         """Hard stop: kill leased workers, persist interrupted state."""
-        campaign = self.campaign
         for label in list(self._leases):
-            lease = self._leases.pop(label)
-            process = self.processes[label]
-            if process.is_alive():
-                process.kill()
-            process.join(2.0)
-            _event_bus.emit(
-                "worker_killed",
-                worker=label,
-                run=lease.name,
-                reason="cancelled",
-                campaign=campaign.directory.name,
-            )
-            if self._finalize_from_checkpoint(lease, label):
+            lease = self._reclaim(label, "cancelled while leased")
+            if lease is None:
                 continue
-            spec = self.specs[lease.index]
-            error = "cancelled while leased"
-            self._runs[spec.name] = {
-                "status": "interrupted",
-                "attempts": lease.attempt,
-                "error": error,
-                "worker": label,
-                "interrupted_unix_s": time.time(),
-            }
-            self._outcomes[spec.name] = RunOutcome(
-                name=spec.name,
-                status="interrupted",
-                error=error,
-                attempts=lease.attempt,
-                interrupted=True,
+            self._settle(
+                self.specs[lease.index],
+                RunOutcome(
+                    name=lease.name,
+                    status="interrupted",
+                    error="cancelled while leased",
+                    attempts=lease.attempt,
+                    interrupted=True,
+                ),
             )
-            self._checkpoint(spec.name)
+            self._checkpoint(lease.name)
         self._pending.clear()
 
     def _abort_on_timeout(self) -> None:
-        """join(timeout_s) expired: kill everything, record failures."""
+        """join(timeout_s) expired: kill everything, record failures.
+
+        Every outcome reports the run's persisted start count: a
+        leased run its lease's attempt, a pending one the attempts
+        before its next (never started) one.
+        """
         for label in list(self._leases):
-            lease = self._leases.pop(label)
-            process = self.processes[label]
-            if process.is_alive():
-                process.kill()
-            process.join(1.0)
-            if self._finalize_from_checkpoint(lease, label):
-                continue
-            spec = self.specs[lease.index]
             error = (
-                f"worker {label} (exit code {process.exitcode}) did not "
-                "finish this run before the campaign timeout"
+                f"worker {label} did not finish this run before the "
+                "campaign timeout"
             )
+            lease = self._reclaim(label, error)
+            if lease is None:
+                continue
             _RUNS_FAILED.inc()
-            self._outcomes[spec.name] = RunOutcome(
-                name=spec.name,
-                status="failed",
-                error=error,
-                attempts=lease.attempt,
-                interrupted=lease.interrupted,
+            self._settle(
+                self.specs[lease.index],
+                RunOutcome(
+                    name=lease.name,
+                    status="failed",
+                    error=error,
+                    attempts=lease.attempt,
+                    interrupted=lease.interrupted,
+                ),
             )
-            self._runs[spec.name] = {
-                "status": "interrupted",
-                "attempts": lease.attempt,
-                "error": error,
-                "worker": label,
-                "interrupted_unix_s": time.time(),
-            }
         for job in self._pending:
             spec = self.specs[job.index]
             _RUNS_FAILED.inc()
-            self._outcomes[spec.name] = RunOutcome(
-                name=spec.name,
-                status="failed",
-                error="campaign timed out before this run started",
-                attempts=max(1, job.attempt - (0 if job.interrupted else 1)),
-                interrupted=job.interrupted,
+            self._settle(
+                spec,
+                RunOutcome(
+                    name=spec.name,
+                    status="failed",
+                    error="campaign timed out before this run started",
+                    attempts=job.attempt - 1,
+                    interrupted=job.interrupted,
+                ),
             )
         self._pending.clear()
 
@@ -1467,23 +1328,102 @@ class CampaignExecution:
                 jobs.close()
                 jobs.cancel_join_thread()
 
-    def _ledger(self, result: CampaignResult) -> None:
-        campaign = self.campaign
-        if campaign.ledger is None:
+    # -- ledger --------------------------------------------------------------
+
+    def _settle(self, spec: RunSpec, outcome: RunOutcome) -> None:
+        """Record a run's outcome for this pass.
+
+        Runs that executed (or were cut short) also append a
+        ``campaign-run`` ledger record now, at commit; skipped runs did
+        not run and a poisoned run's incident record covers it.
+        """
+        self._outcomes[spec.name] = outcome
+        if self._ledger is None or outcome.status in ("skipped", "poisoned"):
             return
-        with campaign.ledger.appender(fsync_each=False) as sink:
-            for outcome in result.outcomes:
-                # skipped: nothing ran; poisoned: the quarantine
-                # incident record already covers it.
-                if outcome.status in ("skipped", "poisoned"):
-                    continue
-                spec = next(
-                    s for s in self.specs if s.name == outcome.name
-                )
-                campaign._ledger_run(spec, outcome, sink)
-            campaign._ledger_summary(
-                result, time.perf_counter() - self._pass_begin, sink
+        report = outcome.report
+        quality = (
+            dataclasses.asdict(report.quality)
+            if report is not None and report.quality is not None
+            else None
+        )
+        extra: Dict[str, object] = {"status": outcome.status}
+        if outcome.error is not None:
+            extra["error"] = outcome.error
+        if report is not None:
+            extra["miss_count"] = report.miss_count
+            extra["low_confidence_count"] = report.low_confidence_count
+            extra["stall_fraction"] = report.stall_fraction
+        self._ledger.append(
+            obs_ledger.record(
+                kind="campaign-run",
+                label=f"{self.campaign.directory.name}/{spec.name}",
+                wall_time_s=outcome.wall_time_s,
+                config=spec.config,
+                quality=quality,
+                extra=extra,
             )
+        )
+
+    def _ledger_incident(
+        self,
+        kind: str,
+        name: str,
+        attempts: int,
+        reason: str,
+        wall_time_s: float = 0.0,
+        worker: Optional[str] = None,
+    ) -> None:
+        """Append one ``campaign-requeue``/``campaign-quarantine`` record.
+
+        Written (and flushed) at the moment the supervisor acts, not
+        batched to pass end, so a kill -9 of the *parent* still leaves
+        the incident on record.
+        """
+        if self._ledger is None:
+            return
+        extra: Dict[str, object] = {"attempts": attempts, "reason": reason}
+        if worker is not None:
+            extra["worker"] = worker
+        self._ledger.append(
+            obs_ledger.record(
+                kind=kind,
+                label=f"{self.campaign.directory.name}/{name}",
+                wall_time_s=wall_time_s,
+                extra=extra,
+            )
+        )
+
+    def _ledger_summary(self, result: CampaignResult) -> None:
+        """Append the pass's ``campaign`` summary record."""
+        if self._ledger is None:
+            return
+        extra: Dict[str, object] = {
+            "counts": result.counts(),
+            "completed": result.completed,
+        }
+        if obs_enabled():
+            # Bridge the live-telemetry rollup into the post-hoc
+            # record: the dashboard's "final" numbers can be checked
+            # against what the bus saw while the pass was in flight.
+            stats = _event_bus.stats()
+            extra["events"] = {
+                key: stats[key]
+                for key in (
+                    "total",
+                    "samples_total",
+                    "stalls_total",
+                    "quality_flags_total",
+                    "dropped_events",
+                )
+            }
+        self._ledger.append(
+            obs_ledger.record(
+                kind="campaign",
+                label=self.campaign.directory.name,
+                wall_time_s=time.perf_counter() - self._pass_begin,
+                extra=extra,
+            )
+        )
 
 
 def _trace_write_safe(tracer, path: Path) -> None:
@@ -1509,10 +1449,11 @@ def _worker_main(
     tracer/bus still hold the parent's spans, sinks, and counters, so
     the first job is to shed that inherited state (without closing the
     parent's file descriptors).  Then the worker loops on its job
-    queue: one ``("run", index, attempt, interrupted)`` lease at a
-    time, executed exactly like the serial path and committed as an
+    queue: one ``("run", index, attempt)`` lease at a time, executed
+    by :meth:`Campaign._run_to_checkpoint` - the same function an
+    inline ``workers == 1`` pass calls - which commits it as an
     atomic ``<name>.outcome.json`` checkpoint before the ``done``
-    control message - the manifest is never touched from here.  A
+    control message; the manifest is never touched from here.  A
     daemon heartbeat thread beats on the control queue at
     ``heartbeat_interval_s`` (always, independent of ``EMPROF_OBS``)
     so the supervisor can tell a long-running job from a hung worker;
@@ -1557,33 +1498,11 @@ def _worker_main(
                     continue  # the parent owns this worker's lifetime
                 if message[0] != "run":
                     break
-                _, index, attempt, interrupted = message
+                _, index, attempt = message
                 spec = specs[index]
                 with contextlib.suppress(Exception):
                     control.put_nowait((label, "started", spec.name))
-                outcome = campaign._execute_one(
-                    spec, attempts=attempt, interrupted=interrupted
-                )
-                # The commit point: after this atomic write the run is
-                # finished no matter what happens to this process.
-                obs_ledger.atomic_write_json(
-                    campaign.outcome_path(spec.name),
-                    {
-                        "name": spec.name,
-                        "status": outcome.status,
-                        "error": outcome.error,
-                        "wall_time_s": outcome.wall_time_s,
-                        "attempts": attempt,
-                        "finished_unix_s": time.time(),
-                        "worker": label,
-                    },
-                )
-                _event_bus.emit(
-                    "checkpoint_written",
-                    target="outcome",
-                    run=spec.name,
-                    status=outcome.status,
-                )
+                campaign._run_to_checkpoint(spec, attempt, label)
                 with contextlib.suppress(Exception):
                     control.put_nowait((label, "done", spec.name))
     finally:

@@ -40,9 +40,13 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Deque, Dict, List, Optional, Tuple, TypeVar, Union,
+)
 
 from . import runtime
+
+_Row = TypeVar("_Row")
 
 SCHEMA = "repro-obs-event"
 SCHEMA_VERSION = 1
@@ -660,16 +664,20 @@ def _current_trace_id() -> Optional[str]:
     return context.trace_id if context is not None else None
 
 
-def read_events(path: Union[str, Path]) -> Tuple[List[Event], int]:
-    """Read an NDJSON event file; returns (events, bad_line_count).
+def read_ndjson(
+    path: Union[str, Path], parse: Callable[[Dict[str, Any]], _Row]
+) -> Tuple[List[_Row], int]:
+    """Tolerantly read an NDJSON file; returns (rows, bad_line_count).
 
-    Missing files read as empty.  Torn or foreign lines are skipped
-    and counted, never raised - a live producer may still be appending.
+    Missing files read as empty.  Blank lines are skipped; torn or
+    foreign lines (bad JSON, or ``parse`` raising ``ValueError``) are
+    skipped and counted, never raised - a live producer may still be
+    appending.
     """
     source = Path(path)
     if not source.is_file():
         return [], 0
-    events: List[Event] = []
+    rows: List[_Row] = []
     bad_lines = 0
     with open(source, "r", encoding="utf-8") as handle:
         for line in handle:
@@ -677,10 +685,15 @@ def read_events(path: Union[str, Path]) -> Tuple[List[Event], int]:
             if not line:
                 continue
             try:
-                events.append(Event.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, ValueError):
+                rows.append(parse(json.loads(line)))
+            except ValueError:  # includes json.JSONDecodeError
                 bad_lines += 1
-    return events, bad_lines
+    return rows, bad_lines
+
+
+def read_events(path: Union[str, Path]) -> Tuple[List[Event], int]:
+    """Read an NDJSON event file; returns (events, bad_line_count)."""
+    return read_ndjson(path, Event.from_dict)
 
 
 #: Process-global event bus; import as ``from repro.obs import events``

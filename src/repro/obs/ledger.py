@@ -38,6 +38,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from .events import read_ndjson
+
 SCHEMA = "repro-obs-ledger"
 SCHEMA_VERSION = 1
 
@@ -329,20 +331,7 @@ class RunLedger:
         first run of a fresh checkout has nothing to compare against,
         which is a normal state, not a failure.
         """
-        if not self.path.is_file():
-            return [], 0
-        records: List[RunRecord] = []
-        bad_lines = 0
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(RunRecord.from_dict(json.loads(line)))
-                except (json.JSONDecodeError, ValueError):
-                    bad_lines += 1
-        return records, bad_lines
+        return read_ndjson(self.path, RunRecord.from_dict)
 
     def read(
         self, kind: Optional[str] = None, label: Optional[str] = None
