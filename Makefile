@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-cold regress check dashboard chaos chaos-service bench bench-all bench-engine trace watch-demo explain-demo reproduce examples selftest clean
+.PHONY: install test lint lint-cold regress check dashboard chaos chaos-service bench bench-all bench-engine import-profile trace watch-demo explain-demo reproduce examples selftest clean
 
 install:
 	pip install -e .
@@ -28,9 +28,11 @@ regress:
 # The default verification flow: static analysis + perf history +
 # the engine differential harness (docs/engine.md equivalence
 # contract: the vectorized engine is bit-identical to the seed) +
-# the supervised-service chaos suite (docs/service.md invariants).
+# the supervised-service chaos suite (docs/service.md invariants) +
+# the import budget and public-surface parity (docs/architecture.md,
+# "Import cost").
 check: lint regress chaos-service
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_engine_equivalence.py tests/test_engine_chunks.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_engine_equivalence.py tests/test_engine_chunks.py tests/test_import_budget.py tests/test_public_surface.py -q
 
 # Render the run observatory over the ledger history.
 dashboard:
@@ -61,6 +63,18 @@ bench-all:
 # per-sample loop; records the >=5x speedup claim into the ledger.
 bench-engine:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_engine_throughput.py --benchmark-only -s
+
+# Cold-start profile: the 15 largest cumulative `-X importtime`
+# entries (microseconds) of `repro capture` and `repro profile` on a
+# small microbenchmark capture; raw logs stay in results/import-profile/.
+import-profile:
+	mkdir -p results/import-profile
+	PYTHONPATH=src $(PYTHON) -X importtime -m repro capture --workload micro --tm 64 --cm 4 -o results/import-profile/micro.npz 2> results/import-profile/capture.log
+	PYTHONPATH=src $(PYTHON) -X importtime -m repro profile results/import-profile/micro.npz -o results/import-profile/report.json 2> results/import-profile/profile.log
+	@for cmd in capture profile; do \
+		echo "== repro $$cmd: 15 largest cumulative imports (us)"; \
+		grep -E '^import time: +[0-9]' results/import-profile/$$cmd.log | sort -t'|' -k2 -n -r | head -15; \
+	done
 
 # Capture + profile one microbenchmark with observability on; drops
 # spans.json (chrome://tracing compatible via --trace-format chrome),

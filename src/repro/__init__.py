@@ -25,19 +25,20 @@ Quickstart::
     print(profile.summary())
 """
 
-from .core.profiler import Emprof
-from .core.streaming import StreamingEmprof
-from .sim.machine import Machine, SimulationResult, simulate
-from .workloads.microbenchmark import Microbenchmark
+from ._lazy import lazy_surface
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Emprof",
-    "StreamingEmprof",
-    "Machine",
-    "SimulationResult",
-    "simulate",
-    "Microbenchmark",
-    "__version__",
-]
+# Public name -> the module defining it, imported on first access.
+_EXPORTS = {
+    "Emprof": "core.profiler",
+    "StreamingEmprof": "core.streaming",
+    "Machine": "sim.machine",
+    "SimulationResult": "sim.machine",
+    "simulate": "sim.machine",
+    "Microbenchmark": "workloads.microbenchmark",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = lazy_surface(__name__, _EXPORTS)

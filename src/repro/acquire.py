@@ -29,7 +29,7 @@ from .devices.models import default_channel
 from .errors import HardwareMissingError
 from .emsignal.apparatus import Apparatus
 from .emsignal.channel import ChannelConfig
-from .emsignal.receiver import Capture, MHZ
+from .emsignal.capture import Capture, MHZ
 from .emsignal.synth import EmissionModel
 from .sim.config import MachineConfig
 from .sim.machine import Machine

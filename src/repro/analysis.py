@@ -19,11 +19,13 @@ module implements that interpretation layer on top of EMPROF reports:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
-from .attribution.report import RegionReport
 from .core.events import ProfileReport
 from .sim.trace import GroundTruth
+
+if TYPE_CHECKING:
+    from .attribution.report import RegionReport
 
 # Memory-boundedness classes, by stall fraction.
 COMPUTE_BOUND = "compute-bound"

@@ -35,6 +35,7 @@ from typing import List, Optional
 
 from . import io as repro_io
 from . import obs
+from ._lazy import lazy_surface
 from .analysis import boundedness, speedup_headroom
 from .core.detect import DetectorConfig
 from .core.markers import find_marker_window
@@ -42,9 +43,15 @@ from .core.normalize import NormalizerConfig
 from .core.profiler import Emprof, EmprofConfig
 from .core.validate import count_accuracy
 from .devices import DEVICE_NAMES, by_name, default_channel
-from .emsignal import measure
-from .sim.machine import simulate
 from .workloads import BootWorkload, Microbenchmark, SPEC_BENCHMARKS, spec_workload
+
+
+# The capture chain (simulator, apparatus, scipy.signal) loads only for
+# the commands that record a capture; ``simulate`` and ``measure`` stay
+# attributes of this module, resolved on first access.
+__getattr__, __dir__ = lazy_surface(
+    __name__, {"simulate": "sim.machine", "measure": "emsignal"}
+)
 
 
 def _build_workload(args: argparse.Namespace):
@@ -79,6 +86,9 @@ def cmd_devices(_args: argparse.Namespace) -> int:
 
 
 def cmd_capture(args: argparse.Namespace) -> int:
+    from .emsignal import measure
+    from .sim.machine import simulate
+
     device = by_name(args.device)
     workload = _build_workload(args)
     print(f"simulating {workload.name} on {device.name} ...")
@@ -354,6 +364,9 @@ def cmd_campaignd(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from .emsignal import measure
+    from .sim.machine import simulate
+
     device = by_name(args.device)
     workload = Microbenchmark(total_misses=args.tm, consecutive_misses=args.cm)
     result = simulate(workload, device, seed=args.seed)

@@ -15,16 +15,18 @@ error), then a mid-range threshold (more margin against drift).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..emsignal.receiver import Capture
 from .detect import DetectorConfig
 from .markers import find_marker_window
 from .normalize import NormalizerConfig
 from .profiler import Emprof, EmprofConfig
 from .validate import count_accuracy
+
+if TYPE_CHECKING:
+    from ..emsignal.capture import Capture
 
 DEFAULT_THRESHOLDS = (0.30, 0.38, 0.45, 0.52, 0.60)
 DEFAULT_MIN_DURATIONS = (40.0, 70.0, 100.0, 140.0)

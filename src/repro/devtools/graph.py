@@ -18,7 +18,9 @@ analyzer works on any tree without configuration:
 The import graph contains only **module-level** imports between
 project modules: deferred imports inside functions are how cycles and
 heavy dependencies are legitimately broken, so they never create
-edges.
+edges.  Importing ``a.b.c`` also executes ``a/__init__`` and
+``a/b/__init__``, so an import has an edge to each ancestor package of
+its target that the importer does not itself sit in.
 """
 
 from __future__ import annotations
@@ -220,6 +222,29 @@ def resolve_import_edges(
     return edges
 
 
+def import_dependencies(
+    fact: ImportFact, importer: str, known_modules: Set[str]
+) -> List[str]:
+    """Project modules one import statement in ``importer`` executes.
+
+    The resolved targets (:func:`resolve_import_edges`) plus each of
+    their ancestor packages, whose ``__init__`` runs first, unless the
+    importer sits in that package (its ``__init__`` is then already
+    running or done).
+    """
+    deps: List[str] = []
+    for edge in resolve_import_edges(fact, known_modules):
+        parts = edge.split(".")
+        for depth in range(1, len(parts)):
+            package = ".".join(parts[:depth])
+            if package in known_modules and not (
+                importer == package or importer.startswith(package + ".")
+            ):
+                deps.append(package)
+        deps.append(edge)
+    return deps
+
+
 def build_import_graph(
     modules: Mapping[str, ModuleFacts],
     module_level_only: bool = True,
@@ -231,7 +256,7 @@ def build_import_graph(
         for imp in facts.imports:
             if module_level_only and not imp.module_level:
                 continue
-            for edge in resolve_import_edges(imp, known):
+            for edge in import_dependencies(imp, name, known):
                 if edge != name:
                     graph[name].add(edge)
     return graph

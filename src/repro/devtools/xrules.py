@@ -41,6 +41,7 @@ from .graph import (
     LayerConfig,
     build_import_graph,
     find_cycles,
+    import_dependencies,
     resolve_import_edges,
 )
 
@@ -177,10 +178,11 @@ class ImportCycleRule(CrossRule):
             anchor = program.modules[cycle[0]]
             lineno, col = 1, 1
             next_in_cycle = set(cycle)
+            known = set(program.modules)
             for imp in anchor.imports:
                 if imp.module_level and any(
                     edge in next_in_cycle
-                    for edge in resolve_import_edges(imp, set(program.modules))
+                    for edge in import_dependencies(imp, cycle[0], known)
                 ):
                     lineno, col = imp.lineno, imp.col
                     break

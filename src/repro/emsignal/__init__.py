@@ -7,31 +7,30 @@ environment distortions (:mod:`channel`) -> bandwidth-limited capture
 :mod:`spectrogram` the Fig. 14 spectrogram.
 """
 
-from .apparatus import Apparatus, measure
-from .channel import Channel, ChannelConfig
-from .dsp import lowpass, resample_to_rate, rms, stft_magnitude
-from .memprobe import MemProbeConfig, memory_probe_signal
-from .receiver import Capture, MHZ, PAPER_BANDWIDTHS_HZ, Receiver
-from .spectrogram import Spectrogram, compute_spectrogram
-from .synth import EmissionModel, emitted_envelope
+from .._lazy import lazy_surface
 
-__all__ = [
-    "Apparatus",
-    "measure",
-    "Channel",
-    "ChannelConfig",
-    "Receiver",
-    "Capture",
-    "MHZ",
-    "PAPER_BANDWIDTHS_HZ",
-    "EmissionModel",
-    "emitted_envelope",
-    "MemProbeConfig",
-    "memory_probe_signal",
-    "Spectrogram",
-    "compute_spectrogram",
-    "lowpass",
-    "resample_to_rate",
-    "rms",
-    "stft_magnitude",
-]
+# Public name -> the module defining it, imported on first access.
+_EXPORTS = {
+    "Apparatus": "apparatus",
+    "measure": "apparatus",
+    "Channel": "channel",
+    "ChannelConfig": "channel",
+    "Receiver": "receiver",
+    "Capture": "capture",
+    "MHZ": "capture",
+    "PAPER_BANDWIDTHS_HZ": "receiver",
+    "EmissionModel": "synth",
+    "emitted_envelope": "synth",
+    "MemProbeConfig": "memprobe",
+    "memory_probe_signal": "memprobe",
+    "Spectrogram": "spectrogram",
+    "compute_spectrogram": "spectrogram",
+    "lowpass": "dsp",
+    "resample_to_rate": "dsp",
+    "rms": "capture",
+    "stft_magnitude": "dsp",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_surface(__name__, _EXPORTS)

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..obs import metrics as _metrics, trace as _trace
 from ..obs.runtime import obs_enabled
-from .dsp import rms
+from .capture import rms
 
 _CHANNEL_SAMPLES = _metrics.counter(
     "channel_samples_total", "envelope samples distorted by Channel.apply()"

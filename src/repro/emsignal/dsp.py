@@ -8,6 +8,8 @@ from typing import Tuple
 import numpy as np
 from scipy import signal as sps
 
+from .capture import rms  # re-exported: numpy-only, lives in the leaf
+
 
 def resample_to_rate(
     x: np.ndarray, rate_in: float, rate_out: float, max_denominator: int = 256
@@ -74,14 +76,6 @@ def stft_magnitude(
         boundary=None,
     )
     return freqs, times, np.abs(z)
-
-
-def rms(x: np.ndarray) -> float:
-    """Root-mean-square of a signal (0.0 for empty input)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        return 0.0
-    return float(np.sqrt(np.mean(x * x)))
 
 
 def db_to_linear_power(db: float) -> float:

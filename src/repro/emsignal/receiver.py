@@ -20,13 +20,13 @@ rate of B, so the magnitude signal EMPROF sees has one sample every
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 import numpy as np
 
 from ..obs import metrics as _metrics, trace as _trace
 from ..obs.runtime import obs_enabled
+from .capture import MHZ, Capture  # re-exported: the capture type lives in the leaf
 from .dsp import lowpass, resample_to_rate
 
 _CAPTURES_TOTAL = _metrics.counter(
@@ -36,39 +36,8 @@ _CAPTURE_SAMPLES = _metrics.counter(
     "receiver_samples_total", "magnitude samples produced by the receiver"
 )
 
-MHZ = 1e6
-
 # The measurement bandwidths swept in Section VI-B.
 PAPER_BANDWIDTHS_HZ = (20 * MHZ, 40 * MHZ, 60 * MHZ, 80 * MHZ, 160 * MHZ)
-
-
-@dataclass(frozen=True)
-class Capture:
-    """One recorded magnitude trace.
-
-    Attributes:
-        magnitude: received envelope magnitude samples.
-        sample_rate_hz: sampling rate (equals the capture bandwidth).
-        clock_hz: profiled processor's clock (the carrier frequency).
-        bandwidth_hz: configured measurement bandwidth.
-        region_names: optional region map forwarded from the workload.
-    """
-
-    magnitude: np.ndarray
-    sample_rate_hz: float
-    clock_hz: float
-    bandwidth_hz: float
-    region_names: Dict[int, str] = field(default_factory=dict)
-
-    @property
-    def duration_s(self) -> float:
-        """Capture length in seconds."""
-        return len(self.magnitude) / self.sample_rate_hz
-
-    @property
-    def sample_period_cycles(self) -> float:
-        """Processor cycles per magnitude sample."""
-        return self.clock_hz / self.sample_rate_hz
 
 
 class Receiver:

@@ -33,7 +33,7 @@ from typing import Union
 import numpy as np
 
 from .core.events import DetectedStall, ProfileReport, QualitySummary
-from .emsignal.receiver import Capture
+from .emsignal.capture import Capture
 from .errors import CorruptCaptureError
 from .obs.flight import FlightRecorder, ReportEvidence, read_flight
 from .sim.trace import GroundTruth, MissRecord, StallRecord

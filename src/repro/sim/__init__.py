@@ -11,65 +11,44 @@ Public surface:
 * instruction builders live in :mod:`repro.sim.isa`
 """
 
-from .cache import Cache, CacheHierarchy, L1, LLC, MEM
-from .config import (
-    CacheConfig,
-    CoreConfig,
-    MachineConfig,
-    MemoryConfig,
-    PowerConfig,
-)
-from .dram import MainMemory, MemoryResponse
-from .machine import Machine, SimulationResult, simulate
-from .pipeline import Pipeline
-from .power import PowerAccumulator
-from .prefetcher import StridePrefetcher
-from .tlb import Tlb
-from .tracefile import TraceWorkload, record_workload, save_trace
-from .trace import (
-    CAUSE_DATA_MEM,
-    CAUSE_IFETCH_MEM,
-    CAUSE_LLC_HIT,
-    CAUSE_MSHR_FULL,
-    CAUSE_RUNAHEAD,
-    CAUSE_STOREBUF,
-    GroundTruth,
-    MEMORY_CAUSES,
-    MissRecord,
-    StallRecord,
-)
+from .._lazy import lazy_surface
 
-__all__ = [
-    "Cache",
-    "CacheHierarchy",
-    "CacheConfig",
-    "CoreConfig",
-    "MachineConfig",
-    "MemoryConfig",
-    "PowerConfig",
-    "MainMemory",
-    "MemoryResponse",
-    "Machine",
-    "SimulationResult",
-    "simulate",
-    "Pipeline",
-    "PowerAccumulator",
-    "StridePrefetcher",
-    "Tlb",
-    "TraceWorkload",
-    "record_workload",
-    "save_trace",
-    "GroundTruth",
-    "MissRecord",
-    "StallRecord",
-    "MEMORY_CAUSES",
-    "CAUSE_DATA_MEM",
-    "CAUSE_IFETCH_MEM",
-    "CAUSE_LLC_HIT",
-    "CAUSE_MSHR_FULL",
-    "CAUSE_RUNAHEAD",
-    "CAUSE_STOREBUF",
-    "L1",
-    "LLC",
-    "MEM",
-]
+# Public name -> the module defining it, imported on first access.
+_EXPORTS = {
+    "Cache": "cache",
+    "CacheHierarchy": "cache",
+    "CacheConfig": "config",
+    "CoreConfig": "config",
+    "MachineConfig": "config",
+    "MemoryConfig": "config",
+    "PowerConfig": "config",
+    "MainMemory": "dram",
+    "MemoryResponse": "dram",
+    "Machine": "machine",
+    "SimulationResult": "machine",
+    "simulate": "machine",
+    "Pipeline": "pipeline",
+    "PowerAccumulator": "power",
+    "StridePrefetcher": "prefetcher",
+    "Tlb": "tlb",
+    "TraceWorkload": "tracefile",
+    "record_workload": "tracefile",
+    "save_trace": "tracefile",
+    "GroundTruth": "trace",
+    "MissRecord": "trace",
+    "StallRecord": "trace",
+    "MEMORY_CAUSES": "trace",
+    "CAUSE_DATA_MEM": "trace",
+    "CAUSE_IFETCH_MEM": "trace",
+    "CAUSE_LLC_HIT": "trace",
+    "CAUSE_MSHR_FULL": "trace",
+    "CAUSE_RUNAHEAD": "trace",
+    "CAUSE_STOREBUF": "trace",
+    "L1": "cache",
+    "LLC": "cache",
+    "MEM": "cache",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_surface(__name__, _EXPORTS)

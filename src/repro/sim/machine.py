@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Union
 
 import numpy as np
 
 from ..obs import metrics as _metrics, trace as _trace
 from ..obs.runtime import obs_enabled
-from ..workloads.base import Workload
 from .cache import CacheHierarchy
 from .config import MachineConfig
 from .dram import MainMemory
@@ -27,6 +26,9 @@ from .power import PowerAccumulator
 from .prefetcher import StridePrefetcher
 from .tlb import Tlb
 from .trace import GroundTruth
+
+if TYPE_CHECKING:
+    from ..workloads.base import Workload
 
 _SIM_CYCLES = _metrics.counter(
     "sim_cycles_total", "processor cycles simulated across all runs"
@@ -127,7 +129,7 @@ class Machine:
     def _run_impl(self, workload: Union[Workload, Iterable[Instr]]) -> SimulationResult:
         """The uninstrumented run loop (see :meth:`run`)."""
         region_names: Dict[int, str] = {}
-        if isinstance(workload, Workload) or hasattr(workload, "instructions"):
+        if hasattr(workload, "instructions"):
             stream = workload.instructions(self.config)
             region_names = dict(getattr(workload, "region_names", {}) or {})
         else:

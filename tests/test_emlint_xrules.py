@@ -160,6 +160,52 @@ def test_cycle_broken_by_deferred_import_is_clean(tmp_path):
     assert rule_hits(result, "import-cycle") == []
 
 
+# Two packages whose modules never import each other's modules in a
+# loop: the cycle closes only because importing ``pkg.sim.config``
+# first executes ``pkg/sim/__init__``, which imports ``pkg.sim.machine``.
+CYCLE_THROUGH_INIT = {
+    "pkg/sim/__init__.py": "from .machine import run\n",
+    "pkg/sim/config.py": "SIZE = 1\n",
+    "pkg/sim/machine.py": "from ..work.base import Work\n\ndef run():\n    return Work\n",
+    "pkg/work/base.py": "from ..sim.config import SIZE\n\nclass Work:\n    size = SIZE\n",
+}
+
+
+def test_import_cycle_through_package_init_detected(tmp_path):
+    result = analyze(tmp_path, CYCLE_THROUGH_INIT)
+    (finding,) = rule_hits(result, "import-cycle")
+    assert (
+        "pkg.sim -> pkg.sim.machine -> pkg.work.base -> pkg.sim" in finding.message
+    )
+    # Anchored at the package __init__'s import that enters the cycle.
+    assert finding.path.endswith("sim/__init__.py")
+    assert finding.line == 1
+
+
+def test_cycle_through_init_broken_by_lazy_init_is_clean(tmp_path):
+    files = dict(CYCLE_THROUGH_INIT)
+    files["pkg/sim/__init__.py"] = (
+        "def __getattr__(name):\n"
+        "    from . import machine\n"
+        "    return getattr(machine, name)\n"
+    )
+    assert rule_hits(analyze(tmp_path, files), "import-cycle") == []
+
+
+def test_parent_package_edges_skip_the_importers_own_packages(tmp_path):
+    root = write_tree(tmp_path, CYCLE_THROUGH_INIT)
+    from repro.devtools.cache import extract_outcomes
+
+    outcomes, _, _ = extract_outcomes([root], [])
+    graph = build_import_graph({o.facts.module: o.facts for o in outcomes if o.facts})
+    # pkg.work.base -> pkg.sim.config runs pkg/sim/__init__ first ...
+    assert graph["pkg.work.base"] == {"pkg.sim", "pkg.sim.config"}
+    # ... and pkg.sim.machine -> pkg.work.base runs pkg/work/__init__;
+    # ``pkg`` itself is shared with every importer, so never an edge.
+    assert graph["pkg.sim.machine"] == {"pkg.work", "pkg.work.base"}
+    assert graph["pkg.sim"] == {"pkg.sim.machine"}
+
+
 def test_find_cycles_on_adjacency():
     graph = {"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": set()}
     assert find_cycles(graph) == [["a", "b", "c"]]
