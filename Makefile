@@ -30,9 +30,10 @@ regress:
 # contract: the vectorized engine is bit-identical to the seed) +
 # the supervised-service chaos suite (docs/service.md invariants) +
 # the import budget and public-surface parity (docs/architecture.md,
-# "Import cost").
+# "Import cost") + the report writer's byte identity with
+# json.dumps(report_to_dict(r), indent=2) (docs/api.md).
 check: lint regress chaos-service
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_engine_equivalence.py tests/test_engine_chunks.py tests/test_import_budget.py tests/test_public_surface.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_engine_equivalence.py tests/test_engine_chunks.py tests/test_import_budget.py tests/test_public_surface.py tests/test_report_json.py -q
 
 # Render the run observatory over the ledger history.
 dashboard:
@@ -51,9 +52,11 @@ chaos-service:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_campaign_supervisor.py tests/test_campaign_executor.py tests/test_service.py tests/test_faults_runner.py "tests/test_obs_wiring.py::TestCampaignTelemetry" -q
 
 # Quick perf-tracking benches; writes BENCH_obs.json (latest session,
-# atomic) and appends per-bench history to LEDGER_obs.jsonl.
+# atomic) and appends per-bench history to LEDGER_obs.jsonl.  The
+# report-encode bench ledgers save_report MB/s and its speedup over
+# the stdlib indent=2 encode.
 bench:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_perf_baseline.py benchmarks/test_streaming_throughput.py --benchmark-only -s
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_perf_baseline.py benchmarks/test_streaming_throughput.py benchmarks/test_report_encode.py --benchmark-only -s
 
 # The full figure/table regeneration suite (slow).
 bench-all:

@@ -27,6 +27,7 @@ to trust them.  See ``docs/robustness.md``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -114,6 +115,8 @@ class QualityMonitor:
         self.gain_guard_samples = max(1, int(gain_guard_samples))
         self._intervals: List[Tuple[float, float]] = []
         self._merged: Optional[List[Tuple[float, float]]] = None
+        #: End of each merged interval, for ``is_impaired``'s bisect.
+        self._merged_ends: List[float] = []
         # Running stream statistics.
         self._running_max = 0.0
         self._block: List[float] = []
@@ -229,8 +232,8 @@ class QualityMonitor:
 
     # -- queries -------------------------------------------------------------
 
-    def intervals(self) -> List[Tuple[float, float]]:
-        """Merged, sorted impaired [begin, end) intervals."""
+    def _merged_intervals(self) -> List[Tuple[float, float]]:
+        """The cached merged intervals (not a copy: do not mutate)."""
         if self._merged is None:
             merged: List[Tuple[float, float]] = []
             for begin, end in sorted(self._intervals):
@@ -239,16 +242,24 @@ class QualityMonitor:
                 else:
                     merged.append((begin, end))
             self._merged = merged
-        return list(self._merged)
+            self._merged_ends = [end for _, end in merged]
+        return self._merged
+
+    def intervals(self) -> List[Tuple[float, float]]:
+        """Merged, sorted impaired [begin, end) intervals."""
+        return list(self._merged_intervals())
 
     def is_impaired(self, begin: float, end: float) -> bool:
         """Whether [begin, end] overlaps any impaired interval."""
-        for b, e in self.intervals():
-            if b > end:
-                break
-            if begin <= e and end >= b:
-                return True
-        return False
+        merged = self._merged_intervals()
+        # Merged intervals are sorted and disjoint, so their ends
+        # ascend too: the first one ending at or after ``begin`` is the
+        # only candidate.  (``begin <= e`` keeps a NaN ``begin`` false.)
+        i = bisect_left(self._merged_ends, begin)
+        if i == len(merged):
+            return False
+        b, e = merged[i]
+        return b <= end and begin <= e
 
     def flag(self, stall):
         """Copy of ``stall`` flagged low-confidence if it overlaps."""
@@ -263,7 +274,7 @@ class QualityMonitor:
         # when `repro.faults` is the first package imported.
         from ..core.events import QualitySummary
 
-        merged = self.intervals()
+        merged = self._merged_intervals()
         return QualitySummary(
             gap_count=self.gap_count,
             dropped_samples=self.dropped_samples,

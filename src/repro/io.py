@@ -25,10 +25,14 @@ the internals.
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 import zlib
+from dataclasses import replace
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
-from typing import Union
+from typing import Dict, List, Union
 
 import numpy as np
 
@@ -248,14 +252,162 @@ def report_from_dict(payload: dict) -> ProfileReport:
     )
 
 
+# -- report JSON writer ---------------------------------------------------------
+#
+# ``json.dumps(..., indent=2)`` runs CPython's pure-Python encoder (the
+# C encoder writes compact output only), one generator step per value;
+# on a stall-dense capture that costs more than profiling it.
+# :func:`report_json` writes the same bytes.  The small members are
+# ``json.dumps`` of what :func:`report_to_dict` gives them; each list
+# of records is gathered one field at a time, each column is encoded
+# in one pass, and the rows are joined through one ``%`` template per
+# record type.
+
+_STALL_FIELDS = (
+    "begin_sample", "end_sample", "begin_cycle", "end_cycle", "min_level",
+    "is_refresh", "region", "low_confidence",
+)
+_STALL_EVIDENCE_FIELDS = (
+    "index", "trigger_sample", "begin_sample", "end_sample", "threshold",
+    "min_level", "depth_margin", "duration_cycles", "merge_chain", "carried",
+    "carry_chunks", "quality_overlaps", "low_confidence", "is_refresh", "complete",
+)
+_NEAR_MISS_FIELDS = (
+    "trigger_sample", "begin_sample", "end_sample", "reason", "measured",
+    "limit", "min_level", "depth_margin",
+)
+#: json's literals; looked up for bool and None columns only
+#: (``1 == True`` would find "true" for an int).
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _json_float(value: float) -> str:
+    """One float as json writes it, non-finite values included."""
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_value(value, pad: str) -> str:
+    """``value`` as ``json.dumps(..., indent=2)`` writes it inside a
+    document, on a line indented by ``pad``."""
+    kind = type(value)
+    if kind is float:
+        return _json_float(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None or kind is bool:
+        return _LITERALS[value]
+    if kind is str:
+        return encode_basestring_ascii(value)
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+def _json_column(values: list, pad: str) -> List[str]:
+    """Each of ``values`` as :func:`_json_value` writes it, in one pass."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        text = list(map(float.__repr__, values))
+        finite = np.isfinite(np.array(values))
+        if not finite.all():
+            for i in np.flatnonzero(~finite).tolist():
+                text[i] = _json_float(values[i])
+        return text
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds <= {bool, type(None)}:
+        return list(map(_LITERALS.__getitem__, values))
+    return [_json_value(v, pad) for v in values]
+
+
+def _json_lists(lists: List[list], pad: str) -> List[str]:
+    """Each of ``lists`` as :func:`_json_value` writes it; the items of
+    all of them are encoded as one column (lists of lists recurse)."""
+    inner = pad + "  "
+    flat = [item for items in lists for item in items]
+    if flat and all(type(item) is list for item in flat):
+        text = _json_lists(flat, inner)
+    else:
+        text = _json_column(flat, inner)
+    out = []
+    sep = ",\n" + inner
+    pos = 0
+    for items in lists:
+        n = len(items)
+        out.append(f"[\n{inner}{sep.join(text[pos:pos + n])}\n{pad}]" if n else "[]")
+        pos += n
+    return out
+
+
+def _json_object(members: Dict[str, str], pad: str) -> str:
+    """An object from its members' encoded values."""
+    inner = pad + "  "
+    body = ",\n".join(
+        f"{inner}{encode_basestring_ascii(key)}: {text}" for key, text in members.items()
+    )
+    return f"{{\n{body}\n{pad}}}"
+
+
+def _json_records(records, fields, pad: str, nested=None) -> str:
+    """A list of objects (``fields`` of each of ``records``), opening on
+    a line indented by ``pad``.  ``nested`` maps a field holding a
+    sequence of containers to the type ``to_dict`` copies each to."""
+    if not records:
+        return "[]"
+    item = pad + "  "
+    member = item + "  "
+    columns = []
+    for name in fields:
+        values = list(map(attrgetter(name), records))
+        if nested and name in nested:
+            copy = nested[name]
+            columns.append(_json_lists([[copy(v) for v in vs] for vs in values], member))
+        else:
+            columns.append(_json_column(values, member))
+    template = _json_object({name: "%s" for name in fields}, item)
+    rows = [template % row for row in zip(*columns)]
+    return f"[\n{item}" + f",\n{item}".join(rows) + f"\n{pad}]"
+
+
+def report_json(report: ProfileReport) -> str:
+    """``json.dumps(report_to_dict(report), indent=2)``, byte for byte.
+
+    Raises what that would raise on a value json cannot encode.
+    """
+    head = report_to_dict(replace(report, stalls=[], evidence=None))
+    members = {key: _json_value(value, "  ") for key, value in head.items()}
+    members["stalls"] = _json_records(report.stalls, _STALL_FIELDS, "  ")
+    evidence = report.evidence
+    if evidence is not None:
+        head = replace(evidence, stalls=(), near_misses=()).to_dict()
+        block = {key: _json_value(value, "    ") for key, value in head.items()}
+        block["stalls"] = _json_records(
+            evidence.stalls, _STALL_EVIDENCE_FIELDS, "    ",
+            nested={"merge_chain": dict, "quality_overlaps": list},
+        )
+        block["near_misses"] = _json_records(evidence.near_misses, _NEAR_MISS_FIELDS, "    ")
+        members["evidence"] = _json_object(block, "  ")
+    return _json_object(members, "")
+
+
 def save_report(path: PathLike, report: ProfileReport) -> None:
-    """Write a profile report to ``path`` (.json)."""
-    Path(path).write_text(json.dumps(report_to_dict(report), indent=2))
+    """Write a profile report to ``path`` (.json, :func:`report_json`)."""
+    Path(path).write_text(report_json(report))
 
 
 def load_report(path: PathLike) -> ProfileReport:
-    """Read a report written by :func:`save_report`."""
-    return report_from_dict(json.loads(Path(path).read_text()))
+    """Read a report written by :func:`save_report`.
+
+    Raises:
+        CorruptCaptureError: not JSON, or not a well-formed report.
+        FileNotFoundError: the path does not exist.
+    """
+    try:
+        return report_from_dict(json.loads(Path(path).read_text()))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CorruptCaptureError(f"malformed report: {exc!r}", path=path) from exc
 
 
 # -- flight sidecars ----------------------------------------------------------

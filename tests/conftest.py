@@ -43,6 +43,31 @@ def make_dip_signal(n=5000, seed=0, dip_every=DIP_EVERY, dip_len=DIP_LEN):
     return np.clip(x, 0.0, None)
 
 
+def make_dense_dip_signal(n=500_000, seed=0):
+    """Stall-dense traffic shaped like the repo benchmark's clean signal.
+
+    Dips are 11-12 samples long (98.5%), 13-29 (0.5%) or refresh
+    collisions of 78-139 (1%), separated by busy gaps of 2-16 samples.
+    """
+    rng = np.random.default_rng(seed)
+    x = np.full(n, 0.9) + rng.normal(0, 0.02, n)
+    shape = rng.random(n // 10)
+    gaps = rng.integers(2, 17, n // 10)
+    pos = DIP_FIRST
+    for kind, gap in zip(shape.tolist(), gaps.tolist()):
+        if kind < 0.01:
+            length = int(rng.integers(78, 140))
+        elif kind < 0.015:
+            length = int(rng.integers(13, 30))
+        else:
+            length = int(rng.integers(11, 13))
+        if pos + length > n - DIP_FIRST:
+            break
+        x[pos : pos + length] = 0.1 + rng.normal(0, 0.01, length)
+        pos += length + gap
+    return np.clip(x, 0.0, None)
+
+
 #: Adversarial chunkings: degenerate (1), primes (7, 101), typical
 #: (64, 4096), the whole signal, and boundaries cut mid-dip.
 CHUNKING_NAMES = (

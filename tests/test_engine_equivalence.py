@@ -11,13 +11,17 @@ against the frozen seed implementations in
 * chunked detection across adversarial chunkings (size 1, primes,
   dip-straddling boundaries, whole-signal) vs both seeds,
 * the full streaming facade - stall lists, quality summaries, and
-  the serialized report JSON - across every fault family,
+  the serialized report JSON (``report_json`` bytes against
+  ``json.dumps(report_to_dict(...), indent=2)``) - across every fault
+  family,
 * the chunked normalizer vs the seed monotonic-deque normalizer,
 * the vectorized validators vs the seed greedy sweeps,
 * Hypothesis property sweeps over random signals and chunkings.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -31,7 +35,7 @@ from repro.core.streaming import StreamingEmprof
 from repro.core.validate import match_stalls, merge_intervals
 from repro.faults import applied_clip_level, iter_chunks
 from repro.faults.quality import QualityConfig
-from repro.io import report_to_dict
+from repro.io import report_json, report_to_dict
 
 from tests.conftest import (
     CHUNK_SIZES,
@@ -203,6 +207,8 @@ class TestStreamingFacadeEquivalence:
         got, want = run_pair(impaired, chunk_samples)
         assert_stalls_identical(got.stalls, want.stalls)
         assert report_to_dict(got) == report_to_dict(want)
+        # The bytes save_report writes, against the format's definition.
+        assert report_json(got) == json.dumps(report_to_dict(want), indent=2)
 
     @pytest.mark.parametrize("chunk_samples", [1, 64, 4096])
     def test_non_finite_runs_bit_identical(self, chunk_samples):

@@ -61,6 +61,14 @@ class TestExplainCapture:
         out = capsys.readouterr().out.lower()
         assert "nothing" in out or "no stall" in out
 
+    def test_malformed_report_raises_typed_error(self, tmp_path):
+        from repro.errors import CorruptCaptureError
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"format": "emprof-report-v1"}))
+        with pytest.raises(CorruptCaptureError, match="bad.json"):
+            main(["explain", str(bad)])
+
     def test_at_rejects_malformed_range(self, capture_path):
         with pytest.raises(SystemExit):
             main(["explain", str(capture_path), "--at", "banana"])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import io as repro_io
 from repro.core.detect import DetectorConfig, detect_stalls, flag_low_confidence
@@ -185,6 +187,39 @@ class TestQualityMonitorUnit:
         m.mark_gap(104, 1)
         m.mark_gap(500, 1)
         assert len(m.intervals()) == 2
+
+    def test_intervals_returns_a_copy(self):
+        m = QualityMonitor()
+        m.mark_gap(100, 1)
+        m.intervals().clear()
+        assert len(m.intervals()) == 1
+        assert m.is_impaired(100, 100)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        marks=st.lists(
+            st.tuples(st.integers(0, 400), st.integers(0, 40)), max_size=12
+        ),
+        queries=st.lists(
+            st.tuples(
+                st.floats(-10, 500, allow_nan=False), st.floats(0, 60, allow_nan=False)
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    def test_is_impaired_matches_linear_scan(self, marks, queries):
+        m = QualityMonitor(QualityConfig(gap_guard_samples=3))
+        for position, width in marks:
+            if width % 2:
+                m.mark_gap(position, 1)
+            else:
+                m._mark(position, position + width)
+        merged = m.intervals()
+        for begin, length in queries:
+            end = begin + length
+            want = any(begin <= e and end >= b for b, e in merged)
+            assert m.is_impaired(begin, end) == want
 
     def test_summary_shape(self):
         m = QualityMonitor()

@@ -129,6 +129,60 @@ class TestReportRoundtrip:
         assert loaded.evidence == evidence
 
 
+_STALL = {
+    "begin_sample": 1.0,
+    "end_sample": 13.0,
+    "begin_cycle": 25.0,
+    "end_cycle": 325.0,
+    "min_level": 0.1,
+    "is_refresh": False,
+}
+_HEAD = {
+    "format": "emprof-report-v1",
+    "clock_hz": 1e9,
+    "sample_period_cycles": 25.0,
+    "total_cycles": 1e6,
+}
+
+
+class TestLoadReportErrors:
+    """Every malformed report raises the typed error, naming the file."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(json.dumps({"format": "emprof-report-v1"}), id="no-stalls"),
+            pytest.param("[]", id="not-an-object"),
+            pytest.param(
+                json.dumps({**_HEAD, "stalls": [{"begin_sample": 1.0}]}),
+                id="stall-missing-field",
+            ),
+            pytest.param(
+                json.dumps({**_HEAD, "stalls": [_STALL], "quality": {"bogus": 1}}),
+                id="unknown-quality-key",
+            ),
+            pytest.param('{"format": "emprof-report-v1", "stalls": [', id="not-json"),
+            pytest.param(json.dumps({**_HEAD, "format": "nope", "stalls": []}), id="foreign"),
+        ],
+    )
+    def test_malformed_report_raises_corrupt_capture_error(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(CorruptCaptureError) as info:
+            repro_io.load_report(path)
+        assert info.value.path == str(path)
+        assert str(path) in str(info.value)
+
+    def test_well_formed_minimal_report_loads(self, tmp_path):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps({**_HEAD, "stalls": [_STALL]}))
+        assert repro_io.load_report(path).miss_count == 1
+
+    def test_missing_file_is_not_wrapped(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            repro_io.load_report(tmp_path / "absent.json")
+
+
 class TestFlightSidecarIO:
     def test_save_and_load(self, tmp_path):
         from repro.obs.flight import (
